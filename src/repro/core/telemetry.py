@@ -91,14 +91,6 @@ EVENT_SCHEMA: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "spec_finished": (("sweep", "index", "attempts", "source", "wall_s"),
                       ()),
     "spec_failed": (("sweep", "index", "kind", "attempts", "message"), ()),
-    # Shared-memory bundle arena lifecycle (DESIGN.md §11): the sweep
-    # parent emits one ``shm_create``/``shm_cleanup`` pair per exported
-    # arena; each pool worker emits ``shm_attach`` when its initializer
-    # maps the segment.  Counting creates against cleanups in the log is
-    # how the chaos suite proves crashes never leak a segment.
-    "shm_create": (("sweep", "segment", "bytes", "bundles"), ()),
-    "shm_attach": (("segment",), ("bundles",)),
-    "shm_cleanup": (("sweep", "segment"), ()),
     # Result-cache provenance; ``source`` attributes the call site
     # ("run", "sweep", "salvage", ...), which the plain
     # ``ResultCache.stats()`` totals cannot.
@@ -340,9 +332,10 @@ def summarize(events: list[dict]) -> dict:
       jobs), and their ratio ``worker_utilization``,
     - ``accesses`` and ``accesses_per_sec`` from worker profile
       snapshots,
-    - ``kernel_counters`` (replay-kernel engagement: ``l1_filter_hits``
-      / ``l1_filter_bypass`` / ``batched_steps``) summed over the same
-      snapshots,
+    - ``kernel_counters``: ``batched_steps`` (event-loop steps that
+      skipped the heap round trip) summed over the same snapshots, plus
+      the retired ``l1_filter_hits``/``l1_filter_bypass`` keys pinned at
+      0 so readers of the summary layout keep working,
     - ``cache`` totals and per-call-site ``cache_by_source``.
     """
     jobs_by_sweep: dict[str, int] = {}
@@ -354,8 +347,7 @@ def summarize(events: list[dict]) -> dict:
     counts = {"sweeps": 0, "specs": 0, "simulated": 0,
               "checkpoint_recalled": 0, "failed": 0, "retries": 0}
     accesses = 0
-    kernel = {"l1_filter_hits": 0, "l1_filter_bypass": 0,
-              "batched_steps": 0}
+    batched = 0
     exec_wall = 0.0
     for event in events:
         ev = event.get("ev")
@@ -385,8 +377,7 @@ def summarize(events: list[dict]) -> dict:
             profile = event.get("profile") or {}
             counters = profile.get("counters") or {}
             accesses += int(counters.get("data_accesses", 0))
-            for name in kernel:
-                kernel[name] += int(counters.get(name, 0))
+            batched += int(counters.get("batched_steps", 0))
         elif ev in ("cache_hit", "cache_miss", "cache_store"):
             bucket = {"cache_hit": "hits", "cache_miss": "misses",
                       "cache_store": "stores"}[ev]
@@ -410,7 +401,9 @@ def summarize(events: list[dict]) -> dict:
     summary["accesses"] = accesses
     summary["accesses_per_sec"] = (
         round(accesses / exec_wall, 3) if exec_wall > 0 else 0.0)
-    summary["kernel_counters"] = kernel
+    summary["kernel_counters"] = {"l1_filter_hits": 0,
+                                  "l1_filter_bypass": 0,
+                                  "batched_steps": batched}
     summary["cache"] = cache_total
     summary["cache_by_source"] = cache_by_source
     return summary
@@ -582,13 +575,9 @@ def format_summary(summary: dict) -> str:
         f"accesses:           {summary['accesses']} "
         f"({summary['accesses_per_sec']:g}/s simulated)",
     ]
-    kernel = summary.get("kernel_counters") or {}
-    if any(kernel.values()):
-        lines.append(
-            "replay kernels:     "
-            f"filter hits {kernel.get('l1_filter_hits', 0)}, "
-            f"bypass exits {kernel.get('l1_filter_bypass', 0)}, "
-            f"batched steps {kernel.get('batched_steps', 0)}")
+    batched = (summary.get("kernel_counters") or {}).get("batched_steps", 0)
+    if batched:
+        lines.append(f"batched steps:      {batched}")
     cache_rows = [
         [source, per["hits"], per["misses"], per["stores"]]
         for source, per in sorted(summary["cache_by_source"].items())

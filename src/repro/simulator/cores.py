@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 from .breakdown import Breakdown
 from .hierarchy import COH, L1, L1X, L2, MEM
-from .replay import kernels_enabled
 from .trace import (FLAG_CODE_JUMP, FLAG_DEPENDENT, FLAG_STREAM,
                     FLAG_WRITE, Trace)
 
@@ -163,7 +162,6 @@ class _Context:
         "retired", "passes", "state", "work_left", "comp_frac",
         "pending_addr", "pending_flags", "pending_icount", "has_pending",
         "wake_time", "wake_level", "wake_is_instr", "rate", "finished_at",
-        "col_sets", "cols",
     )
 
     RUNNABLE = 0
@@ -206,21 +204,6 @@ class _Context:
             self.rate = params.effective_rate(self.trace)
         else:
             self.rate = float(params.issue_width)
-        # Precomputed per-event work columns (jumped, n_lines, compute,
-        # branch) — pure functions of the trace and (rate, branch_penalty),
-        # shared through the trace's derived-column cache (DESIGN.md §14).
-        # None when the replay kernels are disabled: the step loops then
-        # evaluate the identical expressions inline, event by event.
-        if traces and kernels_enabled():
-            self.col_sets = [
-                (t.kernel_cols()[1], t.kernel_cols()[2],
-                 *t.work_cols(self.rate, params.branch_penalty))
-                for t in traces
-            ]
-            self.cols = self.col_sets[0]
-        else:
-            self.col_sets = None
-            self.cols = None
 
     def advance(self) -> tuple[int, int, int, int]:
         """Move to the next trace event; returns (icount, addr, flags, region).
@@ -238,8 +221,6 @@ class _Context:
             self.pos = self.positions[self.trace_idx]
             self.quantum_left = self.quantum
             self.last_region = -1
-            if self.col_sets is not None:
-                self.cols = self.col_sets[self.trace_idx]
         self.pos += 1
         if self.pos >= self.n:
             self.passes += 1
@@ -313,24 +294,11 @@ class FatCore:
         else:
             icount, addr, flags, region = ctx.advance()
             trace = ctx.trace
-            pos = ctx.pos
-        cols = ctx.cols
         fp = trace.footprints[region]
-        if cols is not None:
-            # Precomputed block-work columns (identical expressions,
-            # evaluated once per trace — DESIGN.md §14).  A fresh cursor
-            # (last_region < 0) always jumps; otherwise the previous
-            # event was pos-1 of this trace, which is exactly what the
-            # jumped column encodes.
-            jumped = True if ctx.last_region < 0 else cols[0][pos]
-            n_lines = cols[1][pos]
-            compute = cols[2][pos]
-            branch = cols[3][pos]
-        else:
-            jumped = region != ctx.last_region or bool(flags & FLAG_CODE_JUMP)
-            n_lines = max(1, icount // _INSTR_PER_LINE)
-            compute = icount / ctx.rate
-            branch = icount * trace.branch_mpki / 1000.0 * p.branch_penalty
+        jumped = region != ctx.last_region or bool(flags & FLAG_CODE_JUMP)
+        n_lines = max(1, icount // _INSTR_PER_LINE)
+        compute = icount / ctx.rate
+        branch = icount * trace.branch_mpki / 1000.0 * p.branch_penalty
         ctx.last_region = region
         i_exposed, i_level = hier.instr_block(
             core_id, fp.base, fp.n_lines, n_lines, jumped, self.t
@@ -499,20 +467,12 @@ class LeanCore:
         else:
             icount, addr, flags, region = ctx.advance()
             trace = ctx.trace
-            pos = ctx.pos
-        cols = ctx.cols
         fp = trace.footprints[region]
-        if cols is not None:
-            jumped = True if ctx.last_region < 0 else cols[0][pos]
-            n_lines = cols[1][pos]
-            compute = cols[2][pos]
-            branch = cols[3][pos]
-        else:
-            jumped = region != ctx.last_region or bool(flags & FLAG_CODE_JUMP)
-            n_lines = max(1, icount // _INSTR_PER_LINE)
-            compute = icount / ctx.rate
-            branch = (icount * trace.branch_mpki / 1000.0
-                      * self.params.branch_penalty)
+        jumped = region != ctx.last_region or bool(flags & FLAG_CODE_JUMP)
+        n_lines = max(1, icount // _INSTR_PER_LINE)
+        compute = icount / ctx.rate
+        branch = (icount * trace.branch_mpki / 1000.0
+                  * self.params.branch_penalty)
         ctx.last_region = region
         i_exposed, i_level = self.hier.instr_block(
             self.core_id, fp.base, fp.n_lines, n_lines, jumped, self.t

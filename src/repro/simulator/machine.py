@@ -33,7 +33,6 @@ from .hierarchy import (
     SharedL2Hierarchy,
 )
 from .profiling import NULL_PROBE
-from . import replay
 from .topology import (
     DEFAULT_PLACEMENT,
     IslandTopology,
@@ -54,17 +53,11 @@ DEFAULT_MEASURE_CYCLES = 400_000
 
 #: Memoized post-warm states for the shared-L2 hierarchy, keyed by the
 #: warm schedule and L1 geometry (everything the warm state can depend on
-#: besides the L2 itself).  Each entry pins its traces so the object ids
+#: besides the L2 itself).  Each entry is ``(state, traces)``: the
+#: captured warm state plus the walkers' traces, pinned so the object ids
 #: in the key cannot be recycled while the entry is alive.
 _WARM_MEMO: dict = {}
 _WARM_MEMO_CAP = 4
-
-#: Negative memo: warm-memo keys whose kernel attempt already bailed
-#: (e.g. too much cross-core write sharing), so repeat runs go straight
-#: to the interpreted warm walk.  Purely a perf cache — a stale entry
-#: (recycled trace id) only skips an optimization, never changes state.
-_WARM_KERNEL_BAILS: set = set()
-_WARM_BAILS_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -281,8 +274,9 @@ class Machine:
     """An instantiated machine ready to run workloads.
 
     A fresh Machine has cold caches; :meth:`run` warms them functionally
-    before measuring.  Machines are single-use per run (state carries over
-    if reused, which experiments exploit for paired measurements).
+    before measuring.  A machine runs once: cache, bank-port and core
+    state would carry over into a second run, and the first result holds
+    the hierarchy's live counters, so :meth:`run` raises on reuse.
     """
 
     def __init__(self, config: MachineConfig):
@@ -293,8 +287,7 @@ class Machine:
             self.hierarchy = SharedL2Hierarchy(config.hierarchy,
                                                config.topology)
         self._cores: list = []
-        self._warm_entry: replay.WarmEntry | None = None
-        self._batched_steps = 0
+        self._ran = False
 
     # ------------------------------------------------------------------ #
     # Context mapping                                                     #
@@ -401,28 +394,9 @@ class Machine:
                         ) + hier.warm_identity()
             entry = _WARM_MEMO.get(memo_key)
             if entry is not None:
-                hier.restore_warm_state(entry.state)
+                hier.restore_warm_state(entry[0])
                 hier.reset_stats()
-                self._warm_entry = entry
                 return
-            # Vectorized warm kernel (DESIGN.md §14): computes the same
-            # (L1 sets, owners, L2 log) state in closed form, or None
-            # whenever it cannot guarantee bit-exactness — then the
-            # interpreted walk below runs exactly as before.  Islands
-            # machines skip the kernel (it knows nothing of line tags or
-            # remote homes) and always warm interpretively.
-            if memo_key not in _WARM_KERNEL_BAILS \
-                    and not hier.islands_active:
-                computed = replay.compute_warm_state(
-                    hier, walkers, passes, chunk)
-                if computed is not None:
-                    state, suspects = computed
-                    self._warm_entry = self._memoize(
-                        memo_key, state, walkers, suspects)
-                    hier.restore_warm_state(state)
-                    hier.reset_stats()
-                    return
-                self._record_bail(memo_key)
             hier.begin_warm_log()
         warm_block = hier.warm_block
         for _ in range(passes):
@@ -443,75 +417,11 @@ class Machine:
                         nxt.append(w)
                 pending = nxt
         if memo_key is not None:
-            self._warm_entry = self._memoize(
-                memo_key, hier.capture_warm_state(), walkers)
-        self.hierarchy.reset_stats()
-
-    @staticmethod
-    def _memoize(memo_key, state, walkers,
-                 suspects=None) -> replay.WarmEntry:
-        if len(_WARM_MEMO) >= _WARM_MEMO_CAP:
-            _WARM_MEMO.pop(next(iter(_WARM_MEMO)))
-        # The entry holds the walkers' traces so the ids in the key stay
-        # pinned to these exact objects for the entry's lifetime.
-        entry = replay.WarmEntry(state, tuple(tr for _, tr, _ in walkers),
-                                 suspects)
-        _WARM_MEMO[memo_key] = entry
-        return entry
-
-    @staticmethod
-    def _record_bail(memo_key) -> None:
-        if len(_WARM_KERNEL_BAILS) >= _WARM_BAILS_CAP:
-            _WARM_KERNEL_BAILS.clear()
-        _WARM_KERNEL_BAILS.add(memo_key)
-
-    def prewarm(self, workload: Workload, warm_passes: int = 1,
-                warm_fraction: float = 0.5) -> bool:
-        """Populate the shared warm memo without running a measurement.
-
-        Mirrors exactly the slot assignment, warm lengths, and memo key
-        :meth:`run` would derive for the same arguments, but only the
-        closed-form kernel path executes: on a memo miss the warm state
-        is computed and stored, and on kernel bail-out nothing happens
-        (the next :meth:`run` warms interpretively, exactly as before).
-        Sweep drivers call this during workload prebuild so warm-state
-        derivation is charged to the build phase rather than the first
-        measured run.  Returns True when a memo entry covers the pair.
-        """
-        hier = self.hierarchy
-        if (not warm_passes or not isinstance(hier, SharedL2Hierarchy)
-                or hier.islands_active or not replay.kernels_enabled()):
-            # Islands machines never take the closed-form kernel path
-            # (line tags / remote homes are interpreter-only), so there
-            # is nothing to prebuild.
-            return False
-        live = [tr for tr in workload.traces if len(tr)]
-        if not live:
-            return False
-        slots = self._assign(live)
-        chunk = 64
-        walkers: list[tuple[int, Trace, int]] = []
-        for core_id, core_slots in enumerate(slots):
-            for ctx_traces in core_slots:
-                for tr in ctx_traces:
-                    walkers.append(
-                        (core_id, tr, int(len(tr) * warm_fraction) % len(tr)))
-        p = hier.params
-        memo_key = (p.n_cores, p.l1d_kb, p.l1_assoc, warm_passes, chunk,
-                    tuple((core_id, id(tr), warm_len)
-                          for core_id, tr, warm_len in walkers))
-        if memo_key in _WARM_MEMO:
-            return True
-        if memo_key in _WARM_KERNEL_BAILS:
-            return False
-        computed = replay.compute_warm_state(hier, walkers, warm_passes,
-                                             chunk)
-        if computed is None:
-            self._record_bail(memo_key)
-            return False
-        state, suspects = computed
-        self._memoize(memo_key, state, walkers, suspects)
-        return True
+            if len(_WARM_MEMO) >= _WARM_MEMO_CAP:
+                _WARM_MEMO.pop(next(iter(_WARM_MEMO)))
+            _WARM_MEMO[memo_key] = (hier.capture_warm_state(),
+                                    tuple(tr for _, tr, _ in walkers))
+        hier.reset_stats()
 
     # ------------------------------------------------------------------ #
     # Measurement                                                         #
@@ -555,7 +465,12 @@ class Machine:
         Raises:
             ValueError: for an unknown mode or a response-mode workload
                 with more than one client.
+            RuntimeError: when this machine has already run.
         """
+        if self._ran:
+            raise RuntimeError(
+                "Machine.run called twice on one machine; build a fresh "
+                "Machine per run")
         if mode not in ("throughput", "response"):
             raise ValueError(f"unknown mode {mode!r}")
         validate_placement(placement)
@@ -563,8 +478,6 @@ class Machine:
             raise ValueError(
                 f"placement {placement!r} requires a multi-socket "
                 "topology (single-socket machines are shared-everything)")
-        if self.config.islands:
-            self.hierarchy.set_placement(placement)
         total_contexts = self.config.n_hardware_contexts
         if mode == "response" and workload.n_clients > total_contexts:
             raise ValueError(
@@ -574,6 +487,9 @@ class Machine:
             )
         if not 0.0 <= warm_fraction <= 1.0:
             raise ValueError("warm_fraction must be within [0, 1]")
+        self._ran = True
+        if self.config.islands:
+            self.hierarchy.set_placement(placement)
         # Zero-length traces carry no events: they cannot advance a
         # context, so they are dropped before slot assignment (and a
         # bundle of only empty traces measures an empty window).
@@ -617,38 +533,16 @@ class Machine:
                     "warm_refs",
                     warm_passes * sum(warm_len_of(tr)
                                       for tr in live_traces))
-        # L1-filtered replay (DESIGN.md §14): when the warm state came
-        # from the memo/kernel path and every core runs a single context,
-        # serve measured L1 lookups from the recorded filter outcome
-        # stream; only misses walk the L2/banking model.  Multi-context
-        # cores and SMP (L2 -> L1 feedback) never attach a session.
-        fil = None
-        entry = self._warm_entry
-        if (entry is not None and mode == "throughput"
-                and self.config.core.n_contexts == 1
-                and not self.config.islands
-                and replay.kernels_enabled()):
-            core_traces = {core_id: core_slots[0]
-                           for core_id, core_slots in enumerate(slots)
-                           if core_slots[0]}
-            if entry.ensure_filter(self.config.hierarchy.n_cores,
-                                   core_traces):
-                fil = replay.L1FilterSession(entry, self.hierarchy)
-                if fil.active():
-                    self.hierarchy.set_l1_filter(fil)
-                else:
-                    fil = None
         probe.phase_start("measure")
+        batched = 0
         if mode == "response":
             response = self._run_response()
             elapsed = response
         else:
             response = None
             elapsed = float(measure_cycles)
-            self._run_throughput(elapsed)
+            batched = self._run_throughput(elapsed)
         probe.phase_end("measure")
-        if fil is not None:
-            self.hierarchy.set_l1_filter(None)
         active = [c for c in self._cores if c.retired > 0 or
                   any(ctx.trace is not None for ctx in c.contexts)]
         per_core = [c.breakdown for c in active]
@@ -668,16 +562,8 @@ class Machine:
             probe.gauge("retired", retired)
             probe.gauge("elapsed_cycles", elapsed)
             probe.gauge("active_cores", len(active))
-            kc = self.hierarchy.kernel_counters
-            kc["batched_steps"] += self._batched_steps
-            if fil is not None:
-                kc["l1_filter_hits"] += fil.l1_filter_hits
-                kc["l1_filter_bypass"] += fil.l1_filter_bypass
-            elif replay.kernels_enabled():
-                # Kernels on but no session attached (SMP, multi-context,
-                # cold warm state): count the whole run as one bypass so
-                # forced-fallback cells stay visible in `repro stats`.
-                kc["l1_filter_bypass"] += 1
+            if batched:
+                probe.count("batched_steps", batched)
             self.hierarchy.observe(probe, elapsed)
         return MachineResult(
             config_name=self.config.name,
@@ -700,12 +586,18 @@ class Machine:
         rates = [c.stats.miss_rate for c in hier.l2_caches if c.stats.accesses]
         return sum(rates) / len(rates) if rates else 0.0
 
-    def _run_throughput(self, horizon: float) -> None:
+    def _run_throughput(self, horizon: float) -> int:
+        """Step every core through the window; returns the batched steps.
+
+        A step whose core's next event strictly precedes the rest of the
+        heap runs at once, skipping the pop/push round trip (counted as
+        a batched step).  Strict precedence keeps the tie order: on a
+        timestamp tie the earlier-queued heap entry (smaller seq) runs
+        first, exactly as one-step-per-pop dispatch would order it.
+        """
         heap: list[tuple[float, int, int]] = []
         seq = 0
-        self._batched_steps = 0
         batched = 0
-        batch = replay.kernels_enabled()
         for idx, core in enumerate(self._cores):
             t = core.next_time()
             if t < math.inf:
@@ -718,23 +610,11 @@ class Machine:
             core = self._cores[idx]
             core.step()
             nt = core.next_time()
-            if batch:
-                # Keep stepping this core while its next event precedes
-                # the rest of the heap, skipping the pop/push round trip.
-                # Strictly precedes: on a timestamp tie the earlier-queued
-                # heap entry (smaller seq) must run first, exactly as the
-                # unbatched loop would order it.
-                if heap:
-                    top = heap[0][0]
-                    while nt < top and nt <= horizon:
-                        core.step()
-                        nt = core.next_time()
-                        batched += 1
-                else:
-                    while nt <= horizon:
-                        core.step()
-                        nt = core.next_time()
-                        batched += 1
+            top = heap[0][0] if heap else math.inf
+            while nt < top and nt <= horizon:
+                core.step()
+                nt = core.next_time()
+                batched += 1
             if nt < math.inf:
                 heapq.heappush(heap, (nt, seq, idx))
                 seq += 1
@@ -745,7 +625,7 @@ class Machine:
         # camps uniformly.
         for core in self._cores:
             core.settle(horizon)
-        self._batched_steps = batched
+        return batched
 
     def _run_response(self) -> float:
         """Run every assigned context through one trace pass; the response

@@ -46,29 +46,12 @@ DSS_SATURATED_CHUNKS = 4
 DSS_UNSAT_CHUNKS = 16
 
 
-#: Optional bundle provider consulted by :func:`workload_for` after the
-#: in-process registry but before the builders.  A pool worker whose
-#: parent exported the sweep's bundles into a shared-memory arena
-#: installs one here (:func:`repro.core.parallel._shm_worker_init`) so a
-#: worker *without* an inherited bundle replays zero-copy column views
-#: instead of re-building or re-loading traces.  The provider returns a
-#: :class:`Workload` or None (fall through).
-_provider = None
-
-
-def set_workload_provider(provider) -> None:
-    """Install (or with None, remove) the bundle provider hook."""
-    global _provider
-    _provider = provider
-
-
 #: Bundles already materialized in this process, by ``workload_for``
-#: coordinate.  Preferred over the shared-memory provider: a fork-started
-#: worker inherits these exact objects — columns shared copy-on-write,
-#: and the simulator's warm-state memo entries are keyed by their ids —
-#: so serving them is strictly cheaper than remapping arena columns.
-#: Spawn-started workers (and anything else with a cold registry) fall
-#: through to the arena.
+#: coordinate.  A fork-started pool worker inherits these exact objects —
+#: columns shared copy-on-write, and the simulator's warm-state memo
+#: entries are keyed by their ids.  Spawn-started workers (and anything
+#: else with a cold registry) fall through to the trace store or the
+#: builders.
 _BUILT: dict[tuple, Workload] = {}
 _BUILT_CAP = 32
 
@@ -329,12 +312,6 @@ def workload_for(kind: str, regime: str, scale: float, seed: int | None = None,
         local = _BUILT.get(coord)
         if local is not None:
             return local
-        # The shared-memory arena only exports default bundles; opted-in
-        # contention bundles fall through to the builders.
-        if _provider is not None and not contended:
-            workload = _provider(kind, regime, scale, n_clients)
-            if workload is not None:
-                return workload
     if kind == "oltp":
         contention_kwargs = (
             {"skew": skew_spec, "cc_mode": cc_mode} if contended else {})

@@ -37,7 +37,6 @@ from pathlib import Path
 
 from array import array
 
-from ..simulator.replay import kernels_enabled
 from ..simulator.trace import CodeFootprint, Trace, Workload
 
 #: Engine/format version salt.  Part of every hashed key: bump on any
@@ -204,16 +203,6 @@ class TraceStore:
                 pass
             return None
         self.stats.hits += 1
-        if kernels_enabled():
-            # A store hit is a pool worker (or a later process) about to
-            # simulate: derive the replay kernels' packed base columns
-            # here so the cost lands with the load, not inside the first
-            # measured run.  Pure functions of the columns just thawed —
-            # skipping this (kernels off) changes nothing but timing.
-            for tr in workload.traces:
-                if len(tr):
-                    tr.kernel_cols()
-                    tr.line_sets()
         return workload
 
     def put(self, key, workload: Workload) -> None:

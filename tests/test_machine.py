@@ -1,10 +1,22 @@
 """Unit tests for the Machine warm/measure loop."""
 
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+from repro.core.parallel import WARM_FRACTIONS, RunSpec, execute
 from repro.simulator.configs import fc_cmp, fc_smp, lc_cmp
 from repro.simulator.machine import Machine
 from repro.simulator.trace import TraceBuilder, Workload
+from repro.workloads.driver import workload_for
+
+#: Study scale and window of the driver-built workload checks below.
+SCALE = 0.01
+CYCLES = 5_000
 
 
 def make_trace(name, n_events=200, footprint_lines=512, seed=1,
@@ -70,6 +82,25 @@ class TestModes:
             m.run(make_workload(1), warm_fraction=1.5)
 
 
+class TestSingleUse:
+    def test_second_run_raises(self):
+        """A second run would start from the first run's caches and bank
+        clocks, and would overwrite the first result's live counters."""
+        m = Machine(fc_cmp(n_cores=2, l2_nominal_mb=1, scale=1.0))
+        wl = make_workload(2)
+        first = m.run(wl, measure_cycles=20_000)
+        before = first.to_dict()
+        with pytest.raises(RuntimeError, match="fresh Machine"):
+            m.run(wl, measure_cycles=20_000)
+        assert first.to_dict() == before
+
+    def test_rejected_arguments_leave_machine_usable(self):
+        m = Machine(fc_cmp(n_cores=2, l2_nominal_mb=1, scale=1.0))
+        with pytest.raises(ValueError):
+            m.run(make_workload(1), mode="banana")
+        assert m.run(make_workload(2), measure_cycles=20_000).retired > 0
+
+
 class TestDeterminism:
     def test_same_inputs_same_outputs(self):
         results = []
@@ -131,6 +162,27 @@ class TestWarmEffect:
         for bd in r.per_core:
             assert bd.total <= 25_000 * 1.1  # within one block overshoot
 
+    def test_lean_trailing_interval_is_attributed(self):
+        """Lean per-core breakdowns must sum to the window exactly.
+
+        Dispatch stops at the horizon, which leaves each lean core with
+        an open interval [last event, horizon) that only
+        ``LeanCore.settle`` attributes; without the settle call the
+        per-core sums fall short of the window by that trailing slice.
+        (Fat cores account whole blocks at completion and legitimately
+        overshoot the horizon, so the exact-sum invariant is lean-only.)
+        """
+        workload = workload_for("oltp", "saturated", SCALE)
+        machine = Machine(lc_cmp(n_cores=4, scale=SCALE))
+        result = machine.run(workload, measure_cycles=CYCLES,
+                             warm_fraction=WARM_FRACTIONS["oltp"])
+        assert result.per_core, "expected per-core breakdowns"
+        for core_id, breakdown in enumerate(result.per_core):
+            total = sum(dataclasses.asdict(breakdown).values())
+            assert total == pytest.approx(result.elapsed, rel=0, abs=1e-6), (
+                f"core {core_id} attributed {total} of a {result.elapsed} "
+                f"cycle window")
+
 
 class TestSmpMachine:
     def test_smp_runs_and_reports_coherence(self):
@@ -144,6 +196,14 @@ class TestSmpMachine:
         assert r.hier_stats.coherence_misses > 0
         assert r.breakdown.d_coh > 0
 
+    def test_smp_run_on_driver_workload_is_non_empty(self):
+        workload = workload_for("oltp", "saturated", SCALE)
+        result = Machine(fc_smp(n_nodes=4, scale=SCALE)).run(
+            workload, measure_cycles=CYCLES,
+            warm_fraction=WARM_FRACTIONS["oltp"])
+        assert result.hier_stats.data_accesses > 0
+        assert result.retired > 0
+
     def test_cmp_same_workload_no_coherence(self):
         wl = Workload("w", [
             make_trace(f"c{i}", seed=0, footprint_lines=64, write_every=2)
@@ -153,3 +213,30 @@ class TestSmpMachine:
         r = m.run(wl, measure_cycles=30_000)
         assert r.hier_stats.coherence_misses == 0
         assert r.breakdown.d_coh == 0
+
+
+_NUMPY_FREE_SNIPPET = """
+import json, sys
+sys.modules["numpy"] = None  # any numpy import now raises ImportError
+from repro.core.parallel import RunSpec, execute
+from repro.simulator.configs import fc_cmp
+spec = RunSpec(fc_cmp(n_cores=4, l2_nominal_mb=8, scale={scale}), "oltp")
+print(json.dumps(execute(spec, {scale}, {cycles}).to_dict()))
+"""
+
+
+def test_numpy_free_host_matches_in_process_result():
+    """The simulator needs only the standard library: a fig6 spec run
+    where numpy cannot be imported gives the in-process document."""
+    src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                           "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src_dir] + [p for p in (env.get("PYTHONPATH"),) if p])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         _NUMPY_FREE_SNIPPET.format(scale=SCALE, cycles=CYCLES)],
+        env=env, text=True, capture_output=True, check=True)
+    spec = RunSpec(fc_cmp(n_cores=4, l2_nominal_mb=8, scale=SCALE), "oltp")
+    here = json.loads(json.dumps(execute(spec, SCALE, CYCLES).to_dict()))
+    assert json.loads(proc.stdout) == here

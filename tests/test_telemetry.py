@@ -178,7 +178,7 @@ class TestEventSchema:
         assert set(EVENT_SCHEMA) == {
             "sweep_start", "sweep_end", "checkpoint_resume", "spec_queued",
             "spec_started", "spec_exec", "spec_retry", "spec_finished",
-            "spec_failed", "shm_create", "shm_attach", "shm_cleanup",
+            "spec_failed",
             "cache_hit", "cache_miss", "cache_store",
             "svc_request", "svc_answer", "svc_shed", "svc_coalesce",
             "svc_sim_fail", "svc_breaker", "contention_point",
