@@ -1,26 +1,11 @@
-"""Oracle for the replay kernels: kernels on == kernels off, bit for bit.
+"""Oracle for the simulate path's exact window accounting.
 
-The measurement-path kernels (DESIGN.md §14) — closed-form warm state,
-L1-filtered miss-stream replay, batched event dispatch — promise
-*bit-exact* results: every field of :class:`MachineResult`, including
-per-core cycle breakdowns and hierarchy counters, must be identical with
-``REPRO_SIM_KERNELS=1`` and ``=0``.  This suite is that promise's oracle:
-
-* the full (kind × regime × camp) cell grid, each cell replaying at
-  least 50k cache accesses (warm references + measured data accesses +
-  measured instruction-block accesses), compared field-for-field;
-* a forced-fallback case — the SMP config's private MESI L2s feed
-  invalidations back into the L1s, so the L1-filter must refuse to
-  engage (``l1_filter_bypass`` fires) while results stay identical;
-* the camp-uniform trailing-interval regression: lean cores' per-core
-  breakdowns must attribute the measurement window *exactly*, which
-  only holds if ``_run_throughput`` settles the open interval between
-  each core's last event and the horizon.
-
-``kernels_enabled()`` reads the environment per call, so the toggle is
-a plain ``monkeypatch.setenv`` — no subprocesses.  The warm-state memo
-and its negative cache are cleared around every run so each mode
-derives its own state from scratch.
+Lean cores' per-core breakdowns must attribute the measurement window
+*exactly*, which only holds if ``_run_throughput`` settles the open
+interval between each core's last event and the horizon.  The check
+runs twice: once deriving the warm state by the full warm walk, and
+once restoring it from the L2-free warm memo, which must leave the
+measured run bit-identical to the derived one.
 """
 
 from __future__ import annotations
@@ -29,139 +14,47 @@ import dataclasses
 
 import pytest
 
-from repro.core.parallel import WARM_FRACTIONS, RunSpec, execute
+from repro.core.parallel import WARM_FRACTIONS
 from repro.simulator import machine as machine_mod
-from repro.simulator.configs import fc_cmp, fc_smp, lc_cmp
+from repro.simulator.configs import lc_cmp
 from repro.simulator.machine import Machine
-from repro.simulator.profiling import RunProbe
 from repro.workloads.driver import workload_for
 
+SCALE = 0.01
 CYCLES = 5_000
 
-#: Per-cell study scale, chosen so every cell replays >= 50k accesses.
-#: Saturated cells clear the floor at the quick scale through the warm
-#: phase alone (every queued client trace is warmed); the unsaturated
-#: single-client traces are shorter — and the OLTP one saturates near
-#: 28k references at *any* scale — so those cells run larger scales and
-#: the floor counts measured instruction-block accesses too (real L1i/L2
-#: traffic the replay performs reference-for-reference).
-SCALES = {
-    ("dss", "saturated"): 0.01,
-    ("oltp", "saturated"): 0.01,
-    ("dss", "unsaturated"): 0.5,
-    ("oltp", "unsaturated"): 0.2,
-}
 
-CAMPS = {"fc": fc_cmp, "lc": lc_cmp}
-
-ACCESS_FLOOR = 50_000
+def _run_lean(workload):
+    machine = Machine(lc_cmp(n_cores=4, scale=SCALE))
+    return machine.run(workload, measure_cycles=CYCLES,
+                       warm_fraction=WARM_FRACTIONS["oltp"])
 
 
-def _reset_warm_memos() -> None:
-    """Cold warm-state memo + negative cache, so each mode re-derives."""
-    machine_mod._WARM_MEMO.clear()
-    machine_mod._WARM_KERNEL_BAILS.clear()
-
-
-def _accesses(workload, kind: str, result) -> int:
-    """Cache accesses the run replayed: warm refs + measured traffic.
-
-    The warm walk performs one data access per warm reference; the
-    measured window counts data accesses and instruction-block accesses
-    separately in ``hier_stats`` (stats reset at the warm/measure
-    boundary, so there is no double count).
-    """
-    warm = sum(
-        int(len(tr) * WARM_FRACTIONS[kind]) % len(tr)
-        for tr in workload.traces if len(tr)
-    )
-    hs = result.hier_stats
-    return warm + hs.data_accesses + hs.instr_blocks
-
-
-@pytest.mark.parametrize("camp", sorted(CAMPS))
-@pytest.mark.parametrize("regime", ["saturated", "unsaturated"])
-@pytest.mark.parametrize("kind", ["dss", "oltp"])
-def test_kernels_bit_exact_per_cell(kind, regime, camp, monkeypatch):
-    """Field-for-field MachineResult equality, kernels on vs off."""
-    scale = SCALES[(kind, regime)]
-    spec = RunSpec(CAMPS[camp](n_cores=4, scale=scale), kind,
-                   regime=regime)
-    results = {}
-    for mode in ("1", "0"):
-        monkeypatch.setenv("REPRO_SIM_KERNELS", mode)
-        _reset_warm_memos()
-        results[mode] = execute(spec, scale, CYCLES)
-    _reset_warm_memos()
-
-    on, off = results["1"].to_dict(), results["0"].to_dict()
-    assert on == off, (
-        f"kernels-on result diverged from the interpreted reference for "
-        f"{kind}/{regime}/{camp}"
-    )
-    # The cell must be a real workout, not a toy: >= 50k replayed
-    # accesses (same workload objects both modes — driver cache).
-    workload = workload_for(kind, regime, scale)
-    n = _accesses(workload, kind, results["0"])
-    assert n >= ACCESS_FLOOR, (
-        f"{kind}/{regime}/{camp} exercised only {n} accesses"
-    )
-
-
-def test_smp_forces_filter_bypass_with_identical_results(monkeypatch):
-    """Coherent private L2s (SMP) must bypass the L1 filter, bit-exact.
-
-    The MESI L2s invalidate L1 lines from *outside* the local access
-    stream, so a recorded L1 outcome stream is not replayable — the
-    kernels must fall back to the full interpreted path for the whole
-    run and say so through ``l1_filter_bypass``.
-    """
-    scale = 0.01
-    workload = workload_for("oltp", "saturated", scale)
-    results, counters = {}, {}
-    for mode in ("1", "0"):
-        monkeypatch.setenv("REPRO_SIM_KERNELS", mode)
-        _reset_warm_memos()
-        probe = RunProbe()
-        machine = Machine(fc_smp(n_nodes=4, scale=scale))
-        result = machine.run(workload, measure_cycles=CYCLES,
-                             warm_fraction=WARM_FRACTIONS["oltp"],
-                             probe=probe)
-        results[mode] = result.to_dict()
-        counters[mode] = dict(probe.counters)
-    _reset_warm_memos()
-
-    assert results["1"] == results["0"]
-    # Kernels on: the whole-run bypass marker fired and nothing was
-    # served from a recorded outcome stream.
-    assert counters["1"].get("l1_filter_bypass", 0) >= 1
-    assert counters["1"].get("l1_filter_hits", 0) == 0
-    # Kernels off: the marker is a kernel artifact and must not appear.
-    assert counters["0"].get("l1_filter_bypass", 0) == 0
-    # The fallback really was the coherent case, not an empty run.
-    assert results["1"]["hier_stats"]["data_accesses"] > 0
-
-
-@pytest.mark.parametrize("kernels", ["1", "0"])
-def test_lean_trailing_interval_is_attributed(kernels, monkeypatch):
+@pytest.mark.parametrize("memo_runs", [0, 1])
+def test_lean_trailing_interval_is_attributed(memo_runs):
     """Lean per-core breakdowns must sum to the window exactly.
 
-    ``_run_throughput`` stops dispatching at the horizon, which leaves
-    each lean core with an open interval [last event, horizon) that only
-    ``LeanCore.settle`` attributes; without the camp-uniform settle call
-    the per-core sums fall short of the window by that trailing slice.
-    (Fat cores account whole ROB blocks at completion and legitimately
-    overshoot the horizon, so the exact-sum invariant is lean-only.)
-    Parametrized over the kill switch so the batched dispatch path and
-    the interpreted loop both honour the invariant.
+    Dispatch stops at the horizon, which leaves each lean core with an
+    open interval [last event, horizon) that only ``LeanCore.settle``
+    attributes; without the settle call the per-core sums fall short of
+    the window by that trailing slice.  (Fat cores account whole blocks
+    at completion and legitimately overshoot the horizon, so the
+    exact-sum invariant is lean-only.)  ``memo_runs`` is the number of
+    earlier runs that populated the warm memo before the checked run:
+    0 derives the warm state by walking, 1 restores it from the memo.
     """
-    monkeypatch.setenv("REPRO_SIM_KERNELS", kernels)
-    _reset_warm_memos()
-    workload = workload_for("oltp", "saturated", 0.01)
-    machine = Machine(lc_cmp(n_cores=4, scale=0.01))
-    result = machine.run(workload, measure_cycles=CYCLES,
-                         warm_fraction=WARM_FRACTIONS["oltp"])
-    _reset_warm_memos()
+    machine_mod._WARM_MEMO.clear()
+    workload = workload_for("oltp", "saturated", SCALE)
+    earlier = [_run_lean(workload) for _ in range(memo_runs)]
+    memo_keys = set(machine_mod._WARM_MEMO)
+    result = _run_lean(workload)
+    if memo_runs:
+        # The checked run was served from the memo (no new entry) and
+        # matches the run that derived the state field for field.
+        assert memo_keys, "the earlier run left no warm-memo entry"
+        assert set(machine_mod._WARM_MEMO) == memo_keys
+        assert result.to_dict() == earlier[-1].to_dict()
+    machine_mod._WARM_MEMO.clear()
 
     assert result.per_core, "expected per-core breakdowns"
     for core_id, breakdown in enumerate(result.per_core):
