@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass
 
 from .breakdown import Breakdown
-from .hierarchy import COH, L1, L1X, L2, MEM
+from .cache import CLEAN, DIRTY
+from .hierarchy import COH, L1, L1X, L2, MEM, SharedL2Hierarchy
 from .trace import (FLAG_CODE_JUMP, FLAG_DEPENDENT, FLAG_STREAM,
                     FLAG_WRITE, Trace)
 
@@ -254,6 +255,8 @@ class FatCore:
         self.t = 0.0
         self.breakdown = Breakdown()
         self.pass_target: int | None = None
+        #: Blocks :meth:`loop` ran past the first of a ``send``.
+        self.batched_steps = 0
 
     @property
     def contexts(self) -> list[_Context]:
@@ -270,77 +273,442 @@ class FatCore:
         return self.t if self.ctx.state != _Context.IDLE else math.inf
 
     def step(self) -> None:
-        """Process one trace block (compute + fetch + data reference)."""
+        """Process one trace block: a one-event run of :meth:`loop`."""
+        loop = self.loop()
+        next(loop)
+        loop.send(-math.inf)
+        loop.close()
+
+    def loop(self, horizon: float = math.inf):
+        """The core's resident event loop (DESIGN.md §14.2), a generator.
+
+        ``next()`` primes it and yields the core's next event time.  Each
+        ``send(top)`` runs one trace block (compute + fetch + data
+        reference), keeps running blocks while the clock stays strictly
+        below ``top`` (the earliest other core in the machine's heap) and
+        within ``horizon``, and yields the new next-event time (+inf once
+        the context is idle).  Blocks run after the first count as
+        batched steps.
+
+        Core, context and trace-column state, the breakdown accumulators
+        and this core's share of the hierarchy and cache counters live in
+        locals and are written back once, when the generator closes.
+        State other cores read mid-window (L1/L2 sets, the owner map,
+        bank clocks) is updated in place.  On a single-socket
+        :class:`SharedL2Hierarchy` without the stride prefetcher the
+        whole instruction and data path is inlined here; other
+        hierarchies are reached through their ``instr_block`` /
+        ``data_access`` methods.
+        """
         ctx = self.ctx
         if ctx.state == _Context.IDLE:
-            return
+            while True:
+                yield math.inf
         p = self.params
         bd = self.breakdown
         hier = self.hier
         core_id = self.core_id
-        # Inlined _Context.advance fast path: the overwhelmingly common
-        # case is "next event of the same trace, same quantum" — no
-        # rotation, no wrap, one packed-column decode.
-        pos = ctx.pos + 1
-        if pos < ctx.n and (ctx.quantum_left > 0 or len(ctx.traces) == 1):
-            ctx.pos = pos
-            ctx.quantum_left -= 1
-            trace = ctx.trace
-            m = trace.meta[pos]
-            icount = m >> 24
-            addr = trace.addrs[pos]
-            flags = m & 0xFF
-            region = (m >> 8) & 0xFFFF
-        else:
-            icount, addr, flags, region = ctx.advance()
-            trace = ctx.trace
-        fp = trace.footprints[region]
-        jumped = region != ctx.last_region or bool(flags & FLAG_CODE_JUMP)
-        n_lines = max(1, icount // _INSTR_PER_LINE)
-        compute = icount / ctx.rate
-        branch = icount * trace.branch_mpki / 1000.0 * p.branch_penalty
-        ctx.last_region = region
-        i_exposed, i_level = hier.instr_block(
-            core_id, fp.base, fp.n_lines, n_lines, jumped, self.t
-        )
-        i_stall = max(0.0, i_exposed - p.ifetch_hide_cycles)
-        access_t = self.t + i_stall + compute
-        lat, d_level = hier.data_access(
-            core_id, addr, bool(flags & FLAG_WRITE), access_t
-        )
-        if d_level == L1:
-            d_exposed = 0.0
-        elif flags & FLAG_WRITE:
-            # Stores retire through the store buffer; a burst drains at
-            # latency/depth per store rather than serializing.
-            d_exposed = lat / p.store_buffer_depth
-        elif flags & FLAG_DEPENDENT:
-            if flags & FLAG_STREAM and lat >= 100:
-                # A dependent decode inside a sequential scan: the miss
-                # itself streams from memory ahead of use; only part of
-                # the long latency reaches the pipeline.
-                d_exposed = max(0.0, lat / p.mlp - compute)
+        t = self.t
+        pos = ctx.pos
+        quantum_left = ctx.quantum_left
+        last_region = ctx.last_region
+        retired = ctx.retired
+        single = len(ctx.traces) == 1
+        trace = ctx.trace
+        n = ctx.n
+        meta = trace.meta
+        addrs = trace.addrs
+        footprints = trace.footprints
+        mpki = trace.branch_mpki
+        rate = ctx.rate
+        pass_target = self.pass_target
+        # The position whose block ends a pass; -2 (never reached) when
+        # no pass target is set.
+        end_pos = n - 1 if pass_target is not None else -2
+        penalty = p.branch_penalty
+        ifetch_hide = p.ifetch_hide_cycles
+        store_depth = p.store_buffer_depth
+        mlp = p.mlp
+        dep_hide = p.dep_hide_cycles
+        oo_window = p.oo_window_cycles
+        computation = bd.computation
+        other = bd.other
+        i_l2 = bd.i_l2
+        i_mem = bd.i_mem
+        d_l1x = bd.d_l1x
+        d_l2 = bd.d_l2
+        d_mem = bd.d_mem
+        d_coh = bd.d_coh
+        batched = 0
+        inline = (isinstance(hier, SharedL2Hierarchy) and hier._topo is None
+                  and not hier.params.stride_prefetch)
+        if inline:
+            hp = hier.params
+            l1d = hier._l1d
+            l1 = l1d[core_id]
+            l1_sets = l1._sets
+            l1_n_sets = l1.n_sets
+            l1_assoc = l1.assoc
+            # Every L1D has the same geometry; sibling probes index with
+            # this core's set count.
+            sibling_sets = [c._sets for c in l1d]
+            l2_sets = hier.l2._sets
+            l2_n_sets = hier.l2.n_sets
+            l2_assoc = hier.l2.assoc
+            owners = hier._l1_owners
+            owners_get = owners.get
+            owners_pop = owners.pop
+            bit = 1 << core_id
+            nbit = ~bit
+            core_range = range(hp.n_cores)
+            bank_free = hier._bank_free
+            bank_mask = hier._bank_mask
+            occupancy = hp.l2_occupancy
+            l2_latency = hier.l2_latency
+            mem_latency = hp.mem_latency
+            transfer_latency = hp.l1_transfer_latency
+            jump_bubble = hp.jump_bubble_cycles
+            if hp.stream_buffers:
+                per_line = max(
+                    0.0, (l2_latency - hp.isb_hide_cycles) * hp.isb_expose_frac
+                )
             else:
-                # Pointer chase: nothing downstream to overlap with.
-                d_exposed = max(0.0, lat - p.dep_hide_cycles)
-        else:
-            # Independent miss: the OoO core overlaps it with the compute
-            # preceding it (bounded by the ROB window) and with up to
-            # ``mlp`` sibling misses in flight.
-            overlap = min(compute, p.oo_window_cycles)
-            d_exposed = max(0.0, lat / p.mlp - overlap)
-        bd.computation += compute
-        bd.other += branch
-        _account_instr(bd, i_level, i_stall)
-        _account_data(bd, d_level, d_exposed)
-        ctx.retired += icount
-        self.t = access_t + branch + d_exposed
-        if self.pass_target is not None and ctx.pos == ctx.n - 1:
-            # The block just executed was the trace's last: the pass
-            # completes now.
-            if ctx.passes + 1 >= self.pass_target:
-                ctx.finished_at = self.t
-                ctx.state = _Context.IDLE
+                per_line = float(l2_latency)
+            pressure = hier._code_pressure[core_id]
+            regions = pressure._regions
+            capacity = pressure._capacity_lines
+            window = 4 * capacity
+            total = pressure._total
+            credit = pressure.miss_credit
+            # The evicted fraction the last touch returned: a function of
+            # the footprint total alone, so it is exact to rebuild here.
+            frac = 0.0 if total <= capacity else 1.0 - capacity / total
+            # Counters a block always moves (data accesses, instruction
+            # blocks, L1D misses, L1-level fetches) are derived at close
+            # from the block count and the rarer counters below.
+            l1_hits = lv_l1x = lv_l2 = lv_mem = 0
+            ilv_l2 = ilv_mem = 0
+            queue_delay = queued = 0
+            l1_evictions = l1_writebacks = 0
+            l2_hits = l2_misses = l2_evictions = l2_writebacks = 0
+            base = footprints[last_region].base if last_region >= 0 else -1
+        sends = 0
+        try:
+            top = yield t
+            while True:
+                sends += 1
+                while True:
+                    # -- advance the context (_Context.advance fast path)
+                    pos += 1
+                    if pos < n and (quantum_left > 0 or single):
+                        quantum_left -= 1
+                    else:
+                        # Client rotation or trace wrap: rare, so hand the
+                        # cursor to _Context.advance and reload the trace.
+                        ctx.pos = pos - 1
+                        ctx.quantum_left = quantum_left
+                        ctx.last_region = last_region
+                        ctx.advance()
+                        pos = ctx.pos
+                        quantum_left = ctx.quantum_left
+                        last_region = ctx.last_region
+                        trace = ctx.trace
+                        n = ctx.n
+                        meta = trace.meta
+                        addrs = trace.addrs
+                        footprints = trace.footprints
+                        mpki = trace.branch_mpki
+                        end_pos = n - 1 if pass_target is not None else -2
+                    m = meta[pos]
+                    icount = m >> 24
+                    flags = m & 0xFF
+                    region = (m >> 8) & 0xFFFF
+                    compute = icount / rate
+                    branch = icount * mpki / 1000.0 * penalty
+                    computation += compute
+                    other += branch
+                    retired += icount
+                    # -- instruction fetch
+                    if not inline:
+                        fp = footprints[region]
+                        i_exposed, i_level = hier.instr_block(
+                            core_id, fp.base, fp.n_lines,
+                            max(1, icount // _INSTR_PER_LINE),
+                            region != last_region
+                            or bool(flags & FLAG_CODE_JUMP), t
+                        )
+                        last_region = region
+                        i_stall = max(0.0, i_exposed - ifetch_hide)
+                        if i_stall > 0:
+                            if i_level == MEM:
+                                i_mem += i_stall
+                            else:
+                                i_l2 += i_stall
+                        access_t = t + i_stall + compute
+                    elif region != last_region or flags & FLAG_CODE_JUMP:
+                        if region != last_region:
+                            # _CodePressure.touch.  A repeat of the last
+                            # region finds its base most recent and the
+                            # total unchanged: the touch is a no-op and
+                            # the previous fraction still holds.
+                            fp = footprints[region]
+                            base = fp.base
+                            old = regions.pop(base, None)
+                            if old is not None:
+                                total -= old
+                            rl = fp.n_lines
+                            regions[base] = rl
+                            total += rl
+                            while total > window and len(regions) > 1:
+                                total -= regions.pop(next(iter(regions)))
+                            frac = (0.0 if total <= capacity
+                                    else 1.0 - capacity / total)
+                            last_region = region
+                        # A jump: the hot paths of recent modules stay
+                        # L1I-resident, so only the evicted fraction of
+                        # jumps fetch from the L2 (a fractional credit).
+                        exposed = 0.0
+                        i_level = L1
+                        credit += frac
+                        if credit >= 1.0:
+                            credit -= 1.0
+                            line = base >> 6
+                            bank = line & bank_mask
+                            free = bank_free[bank]
+                            qdelay = free - t if free > t else 0.0
+                            bank_free[bank] = t + qdelay + occupancy
+                            if qdelay:
+                                queue_delay += int(qdelay)
+                                queued += 1
+                            l2d = l2_sets[line % l2_n_sets]
+                            state = l2d.pop(line, -1)
+                            if state >= 0:
+                                l2_hits += 1
+                                l2d[line] = state
+                                exposed += l2_latency + qdelay
+                                i_level = L2
+                            else:
+                                l2_misses += 1
+                                if len(l2d) >= l2_assoc:
+                                    for vline in l2d:
+                                        break
+                                    l2_evictions += 1
+                                    if l2d.pop(vline):
+                                        l2_writebacks += 1
+                                l2d[line] = CLEAN
+                                exposed += l2_latency + qdelay + mem_latency
+                                i_level = MEM
+                        else:
+                            exposed += jump_bubble
+                        n_lines = (icount // _INSTR_PER_LINE or 1) - 1
+                        if n_lines > 0 and frac > 0.0 and per_line:
+                            exposed += n_lines * per_line * frac
+                            if i_level == L1:
+                                i_level = L2
+                        if i_level == L2:
+                            ilv_l2 += 1
+                        elif i_level == MEM:
+                            ilv_mem += 1
+                        # `x if x > 0.0 else 0.0` is max(0.0, x), value
+                        # and type, without the call.
+                        i_stall = int(exposed) - ifetch_hide
+                        if i_stall > 0.0:
+                            if i_level == MEM:
+                                i_mem += i_stall
+                            else:
+                                i_l2 += i_stall
+                            access_t = t + i_stall + compute
+                        else:
+                            access_t = t + compute
+                    elif frac > 0.0 and per_line:
+                        # Sequential fetch through a thrashing footprint:
+                        # the stream buffer hides most of the L2 latency.
+                        ilv_l2 += 1
+                        i_stall = int((icount // _INSTR_PER_LINE or 1)
+                                      * per_line * frac) - ifetch_hide
+                        if i_stall > 0.0:
+                            i_l2 += i_stall
+                            access_t = t + i_stall + compute
+                        else:
+                            access_t = t + compute
+                    else:
+                        # Nothing exposed: a zero stall adds exactly 0.0.
+                        access_t = t + compute
+                    # -- data reference
+                    write = flags & FLAG_WRITE
+                    if inline:
+                        line = addrs[pos] >> 6
+                        sdict = l1_sets[line % l1_n_sets]
+                        state = sdict.pop(line, -1)
+                        if state >= 0:
+                            # L1 hit: CLEAN is 0 and DIRTY is 1, so the
+                            # new state is a plain OR of the write bit.
+                            l1_hits += 1
+                            sdict[line] = state | write
+                            d_level = L1
+                        else:
+                            if len(sdict) >= l1_assoc:
+                                for vline in sdict:
+                                    break
+                                l1_evictions += 1
+                                if sdict.pop(vline):
+                                    l1_writebacks += 1
+                                # Drop this core from the victim's owners
+                                # (the map's order is never observed).
+                                vmask = owners_pop(vline, 0) & nbit
+                                if vmask:
+                                    owners[vline] = vmask
+                            sdict[line] = write
+                            d_level = L2
+                            omask = owners_get(line, 0)
+                            sibling_mask = omask & nbit
+                            if sibling_mask:
+                                # Dirty sibling copies take an L1-to-L1
+                                # intervention; clean ones are served by
+                                # the L2 below.
+                                dirty_sibling = False
+                                set_idx = line % l1_n_sets
+                                for o in core_range:
+                                    if sibling_mask >> o & 1:
+                                        osets = sibling_sets[o][set_idx]
+                                        if osets.get(line) == DIRTY:
+                                            dirty_sibling = True
+                                        if write:
+                                            osets.pop(line, None)
+                                owners[line] = (bit if write
+                                                else sibling_mask | bit)
+                                if dirty_sibling:
+                                    l2d = l2_sets[line % l2_n_sets]
+                                    state = l2d.pop(line, None)
+                                    if state is not None:
+                                        l2d[line] = state
+                                    lv_l1x += 1
+                                    lat = transfer_latency
+                                    d_level = L1X
+                            else:
+                                owners[line] = omask | bit
+                            if d_level != L1X:
+                                bank = line & bank_mask
+                                free = bank_free[bank]
+                                qdelay = (free - access_t if free > access_t
+                                          else 0.0)
+                                bank_free[bank] = access_t + qdelay + occupancy
+                                if qdelay:
+                                    queue_delay += int(qdelay)
+                                    queued += 1
+                                l2d = l2_sets[line % l2_n_sets]
+                                state = l2d.pop(line, -1)
+                                if state >= 0:
+                                    l2_hits += 1
+                                    l2d[line] = state | write
+                                    lv_l2 += 1
+                                    lat = int(l2_latency + qdelay)
+                                else:
+                                    l2_misses += 1
+                                    if len(l2d) >= l2_assoc:
+                                        for vline in l2d:
+                                            break
+                                        l2_evictions += 1
+                                        if l2d.pop(vline):
+                                            l2_writebacks += 1
+                                    l2d[line] = write
+                                    lv_mem += 1
+                                    lat = int(l2_latency + qdelay + mem_latency)
+                                    d_level = MEM
+                    else:
+                        lat, d_level = hier.data_access(
+                            core_id, addrs[pos], bool(write), access_t
+                        )
+                    if d_level == L1:
+                        t = access_t + branch
+                    else:
+                        if write:
+                            # Stores retire through the store buffer; a
+                            # burst drains at latency/depth per store.
+                            d_exposed = lat / store_depth
+                        elif flags & FLAG_DEPENDENT:
+                            if flags & FLAG_STREAM and lat >= 100:
+                                # A dependent decode inside a sequential
+                                # scan: the miss streams from memory
+                                # ahead of use; part of it is exposed.
+                                d_exposed = lat / mlp - compute
+                            else:
+                                # Pointer chase: nothing to overlap with.
+                                d_exposed = lat - dep_hide
+                        else:
+                            # Independent miss: overlapped with the
+                            # preceding compute (up to the ROB window) and
+                            # with up to ``mlp`` sibling misses.
+                            d_exposed = lat / mlp - (
+                                oo_window if oo_window < compute else compute)
+                        if d_exposed > 0.0:
+                            if d_level == L2:
+                                d_l2 += d_exposed
+                            elif d_level == MEM:
+                                d_mem += d_exposed
+                            elif d_level == COH:
+                                d_coh += d_exposed
+                            elif d_level == L1X:
+                                d_l1x += d_exposed
+                            t = access_t + branch + d_exposed
+                        else:
+                            # max(0.0, d_exposed) == 0.0 adds nothing.
+                            t = access_t + branch
+                    if pos == end_pos and ctx.passes + 1 >= pass_target:
+                        # The block just executed was the trace's last:
+                        # the pass completes now.
+                        ctx.finished_at = t
+                        ctx.state = _Context.IDLE
+                        while True:
+                            yield math.inf
+                    if t < top and t <= horizon:
+                        batched += 1
+                        continue
+                    break
+                top = yield t
+        finally:
+            self.t = t
+            ctx.pos = pos
+            ctx.quantum_left = quantum_left
+            ctx.last_region = last_region
+            ctx.retired = retired
+            bd.computation = computation
+            bd.other = other
+            bd.i_l2 = i_l2
+            bd.i_mem = i_mem
+            bd.d_l1x = d_l1x
+            bd.d_l2 = d_l2
+            bd.d_mem = d_mem
+            bd.d_coh = d_coh
+            self.batched_steps += batched
+            if inline:
+                blocks = sends + batched
+                pressure._total = total
+                pressure.miss_credit = credit
+                stats = hier.stats
+                stats.data_accesses += blocks
+                counts = stats.data_level_counts
+                counts[L1] += l1_hits
+                counts[L1X] += lv_l1x
+                counts[L2] += lv_l2
+                counts[MEM] += lv_mem
+                stats.instr_blocks += blocks
+                counts = stats.instr_level_counts
+                counts[L1] += blocks - ilv_l2 - ilv_mem
+                counts[L2] += ilv_l2
+                counts[MEM] += ilv_mem
+                stats.l2_queue_delay += queue_delay
+                stats.l2_queued_accesses += queued
+                cs = l1.stats
+                cs.hits += l1_hits
+                cs.misses += blocks - l1_hits
+                cs.evictions += l1_evictions
+                cs.writebacks += l1_writebacks
+                cs = hier.l2.stats
+                cs.hits += l2_hits
+                cs.misses += l2_misses
+                cs.evictions += l2_evictions
+                cs.writebacks += l2_writebacks
 
     def settle(self, horizon: float) -> None:
         """End-of-window hook: nothing to flush on a fat core.
@@ -382,6 +750,8 @@ class LeanCore:
         self.t = 0.0
         self.breakdown = Breakdown()
         self.pass_target: int | None = None
+        #: Steps :meth:`loop` ran past the first of a ``send``.
+        self.batched_steps = 0
         for ctx in self.contexts:
             if ctx.state == _Context.RUNNABLE:
                 self._load_next_block(ctx)
@@ -453,7 +823,7 @@ class LeanCore:
         An exposed instruction fetch stalls the context first; otherwise it
         becomes runnable with the block's compute work.
         """
-        # Inlined _Context.advance fast path (see FatCore.step).
+        # Inlined _Context.advance fast path (see FatCore.loop).
         pos = ctx.pos + 1
         if pos < ctx.n and (ctx.quantum_left > 0 or len(ctx.traces) == 1):
             ctx.pos = pos
@@ -548,6 +918,26 @@ class LeanCore:
         """
         if self.t < horizon and self.next_time() >= horizon:
             self._advance_to(horizon)
+
+    def loop(self, horizon: float = math.inf):
+        """The :meth:`FatCore.loop` protocol over :meth:`step`.
+
+        Lean cores keep their per-event methods; the generator only
+        batches steps whose next event strictly precedes ``top``.
+        """
+        top = yield self.next_time()
+        batched = 0
+        try:
+            while True:
+                self.step()
+                nt = self.next_time()
+                while nt < top and nt <= horizon:
+                    self.step()
+                    nt = self.next_time()
+                    batched += 1
+                top = yield nt
+        finally:
+            self.batched_steps += batched
 
     def step(self) -> None:
         """Advance to the next event and process every due transition."""

@@ -496,7 +496,7 @@ class Machine:
         live_traces = [tr for tr in workload.traces if len(tr)]
         if not live_traces:
             elapsed = 0.0 if mode == "response" else float(measure_cycles)
-            return MachineResult(
+            return self._checked(MachineResult(
                 config_name=self.config.name,
                 workload_name=workload.name,
                 breakdown=Breakdown.total_of([]),
@@ -508,7 +508,7 @@ class Machine:
                 hier_stats=self.hierarchy.stats,
                 l2_miss_rate=self._l2_miss_rate(),
                 extras={"context_progress": []},
-            )
+            ))
         slots = self._assign(live_traces, placement)
         if not warm_passes:
             def offset_of(tr: Trace) -> int:
@@ -565,7 +565,7 @@ class Machine:
             if batched:
                 probe.count("batched_steps", batched)
             self.hierarchy.observe(probe, elapsed)
-        return MachineResult(
+        return self._checked(MachineResult(
             config_name=self.config.name,
             workload_name=workload.name,
             breakdown=breakdown,
@@ -577,7 +577,40 @@ class Machine:
             hier_stats=self.hierarchy.stats,
             l2_miss_rate=self._l2_miss_rate(),
             extras={"context_progress": progress},
+        ))
+
+    def _checked(self, result: MachineResult) -> MachineResult:
+        """Return ``result`` after checking the run's conservation laws.
+
+        Always on: the checks read a handful of counters once per run.
+        A counter the event loop failed to write back, or a negative
+        stall, breaks one of them.
+
+        Raises:
+            RuntimeError: naming the first law that does not hold.
+        """
+        hs = self.hierarchy.stats
+        l1d_lookups = sum(c.stats.hits + c.stats.misses
+                          for c in self.hierarchy.l1d_caches)
+        laws = (
+            ("sum(data_level_counts) == data_accesses",
+             sum(hs.data_level_counts) == hs.data_accesses),
+            ("sum(instr_level_counts) == instr_blocks",
+             sum(hs.instr_level_counts) == hs.instr_blocks),
+            ("L1D hits + misses == data_accesses",
+             l1d_lookups == hs.data_accesses),
+            ("remote_accesses <= data_accesses + instr_blocks",
+             hs.remote_accesses <= hs.data_accesses + hs.instr_blocks),
+            ("every breakdown component >= 0",
+             all(v >= 0 for bd in [result.breakdown, *result.per_core]
+                 for v in bd.as_dict().values())),
         )
+        for law, holds in laws:
+            if not holds:
+                raise RuntimeError(
+                    f"conservation law violated: {law} "
+                    f"({self.config.name}, {result.workload_name})")
+        return result
 
     def _l2_miss_rate(self) -> float:
         hier = self.hierarchy
@@ -587,37 +620,42 @@ class Machine:
         return sum(rates) / len(rates) if rates else 0.0
 
     def _run_throughput(self, horizon: float) -> int:
-        """Step every core through the window; returns the batched steps.
+        """Run every core through the window; returns the batched steps.
 
-        A step whose core's next event strictly precedes the rest of the
-        heap runs at once, skipping the pop/push round trip (counted as
-        a batched step).  Strict precedence keeps the tie order: on a
-        timestamp tie the earlier-queued heap entry (smaller seq) runs
-        first, exactly as one-step-per-pop dispatch would order it.
+        Each core runs as its resident :meth:`FatCore.loop` /
+        :meth:`LeanCore.loop` generator.  The heap pops the earliest
+        core and sends it the next heap time; the core runs events while
+        its clock strictly precedes that time (the extra ones count as
+        batched steps) and yields its next event time.  Strict
+        precedence keeps the tie order: on a timestamp tie the
+        earlier-queued heap entry (smaller seq) runs first, exactly as
+        one-step-per-pop dispatch would order it.
         """
         heap: list[tuple[float, int, int]] = []
         seq = 0
-        batched = 0
-        for idx, core in enumerate(self._cores):
-            t = core.next_time()
-            if t < math.inf:
-                heapq.heappush(heap, (t, seq, idx))
-                seq += 1
-        while heap:
-            t, _, idx = heapq.heappop(heap)
-            if t > horizon:
-                break
-            core = self._cores[idx]
-            core.step()
-            nt = core.next_time()
-            top = heap[0][0] if heap else math.inf
-            while nt < top and nt <= horizon:
-                core.step()
-                nt = core.next_time()
-                batched += 1
-            if nt < math.inf:
-                heapq.heappush(heap, (nt, seq, idx))
-                seq += 1
+        loops = [core.loop(horizon) for core in self._cores]
+        try:
+            for idx, loop in enumerate(loops):
+                t = next(loop)
+                if t < math.inf:
+                    heapq.heappush(heap, (t, seq, idx))
+                    seq += 1
+            heappop = heapq.heappop
+            heappush = heapq.heappush
+            inf = math.inf
+            while heap:
+                t, _, idx = heappop(heap)
+                if t > horizon:
+                    break
+                nt = loops[idx].send(heap[0][0] if heap else inf)
+                if nt < inf:
+                    heappush(heap, (nt, seq, idx))
+                    seq += 1
+        finally:
+            # Closing a loop writes its deferred state back to the core,
+            # the breakdown and the hierarchy counters.
+            for loop in loops:
+                loop.close()
         # Attribute any trailing interval up to the horizon.  Each camp
         # implements `settle` with its own accounting semantics (lean
         # cores advance interval state; fat cores are block-atomic and
@@ -625,7 +663,7 @@ class Machine:
         # camps uniformly.
         for core in self._cores:
             core.settle(horizon)
-        return batched
+        return sum(core.batched_steps for core in self._cores)
 
     def _run_response(self) -> float:
         """Run every assigned context through one trace pass; the response
@@ -641,33 +679,37 @@ class Machine:
             raise ValueError("no context has a trace assigned")
         heap: list[tuple[float, int, int]] = []
         seq = 0
-        cores = [core for core, _ in active]
-        for idx, core in enumerate(cores):
-            heapq.heappush(heap, (core.next_time(), seq, idx))
-            seq += 1
-        # A step can only finish contexts on the stepped core, so track
+        loops = [core.loop() for core, _ in active]
+        # A send can only finish contexts on the core it ran, so track
         # unfinished contexts per core instead of rescanning every context
-        # after every step (quadratic in active contexts otherwise).
+        # after every send (quadratic in active contexts otherwise).
         unfinished: list[list] = [list(ctxs) for _, ctxs in active]
         pending = sum(len(ctxs) for ctxs in unfinished)
         guard = 0
-        while heap and pending:
-            _, _, idx = heapq.heappop(heap)
-            core = cores[idx]
-            core.step()
-            mine = unfinished[idx]
-            if mine:
-                still = [ctx for ctx in mine if ctx.finished_at is math.inf]
-                if len(still) != len(mine):
-                    pending -= len(mine) - len(still)
-                    unfinished[idx] = still
-            nt = core.next_time()
-            if nt is not math.inf:
-                heapq.heappush(heap, (nt, seq, idx))
+        try:
+            for idx, loop in enumerate(loops):
+                heapq.heappush(heap, (next(loop), seq, idx))
                 seq += 1
-            guard += 1
-            if guard > 50_000_000:
-                raise RuntimeError("response-mode run did not terminate")
+            while heap and pending:
+                _, _, idx = heapq.heappop(heap)
+                nt = loops[idx].send(heap[0][0] if heap else math.inf)
+                mine = unfinished[idx]
+                if mine:
+                    still = [ctx for ctx in mine
+                             if ctx.finished_at is math.inf]
+                    if len(still) != len(mine):
+                        pending -= len(mine) - len(still)
+                        unfinished[idx] = still
+                if nt < math.inf:
+                    heapq.heappush(heap, (nt, seq, idx))
+                    seq += 1
+                guard += 1
+                if guard > 50_000_000:
+                    raise RuntimeError(
+                        "response-mode run did not terminate")
+        finally:
+            for loop in loops:
+                loop.close()
         if pending:
             raise RuntimeError("response-mode run stalled before completion")
         return max(ctx.finished_at for _, ctxs in active for ctx in ctxs)

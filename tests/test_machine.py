@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -98,6 +99,64 @@ class TestSingleUse:
         with pytest.raises(ValueError):
             m.run(make_workload(1), mode="banana")
         assert m.run(make_workload(2), measure_cycles=20_000).retired > 0
+
+
+def _lose_data_access(m):
+    m.hierarchy.stats.data_accesses += 1
+
+
+def _lose_instr_level(m):
+    m.hierarchy.stats.instr_level_counts[0] += 1
+
+
+def _lose_l1d_miss(m):
+    m.hierarchy.l1d_caches[0].stats.misses -= 1
+
+
+def _overcount_remote(m):
+    hs = m.hierarchy.stats
+    hs.remote_accesses = hs.data_accesses + hs.instr_blocks + 1
+
+
+def _negative_stall(m):
+    m._cores[0].breakdown.d_l2 = -1.0
+
+
+class TestConservation:
+    """``Machine.run`` checks its conservation laws on every run."""
+
+    @pytest.mark.parametrize("corrupt, law", [
+        (_lose_data_access, "sum(data_level_counts) == data_accesses"),
+        (_lose_instr_level, "sum(instr_level_counts) == instr_blocks"),
+        (_lose_l1d_miss, "L1D hits + misses == data_accesses"),
+        (_overcount_remote,
+         "remote_accesses <= data_accesses + instr_blocks"),
+        (_negative_stall, "every breakdown component >= 0"),
+    ])
+    def test_violated_law_raises_by_name(self, corrupt, law):
+        """A counter the event loop failed to write back (simulated by
+        corrupting one after the window) fails the run, naming the law."""
+
+        class Corrupting(Machine):
+            def _run_throughput(self, horizon):
+                batched = super()._run_throughput(horizon)
+                corrupt(self)
+                return batched
+
+        m = Corrupting(fc_cmp(n_cores=2, l2_nominal_mb=1, scale=1.0))
+        with pytest.raises(RuntimeError, match=f"violated: {re.escape(law)}"):
+            m.run(make_workload(2), measure_cycles=20_000)
+
+    @pytest.mark.parametrize("config", [
+        fc_cmp(n_cores=2, l2_nominal_mb=1, scale=1.0),
+        lc_cmp(n_cores=2, l2_nominal_mb=1, scale=1.0),
+        fc_smp(n_nodes=2, private_l2_nominal_mb=1, scale=1.0),
+    ], ids=["fc-cmp", "lc-cmp", "fc-smp"])
+    @pytest.mark.parametrize("mode", ["throughput", "response"])
+    def test_laws_hold_on_every_camp_and_mode(self, config, mode):
+        r = Machine(config).run(make_workload(2), mode=mode,
+                                measure_cycles=20_000)
+        assert r.retired > 0
 
 
 class TestDeterminism:
